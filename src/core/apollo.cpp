@@ -14,6 +14,30 @@
 
 namespace apollo::core {
 
+namespace {
+
+// Rng::State field by field in its v3 on-disk layout: s[4], a has_cached
+// byte, 7 zero bytes, cached (48 bytes). Writing the struct raw would leak
+// its padding bytes into the checkpoint and break byte-identity.
+bool write_rng_state(std::FILE* f, const Rng::State& rs) {
+  const uint8_t has_cached = rs.has_cached ? 1 : 0;
+  const uint8_t pad[7] = {};
+  return write_bytes(f, rs.s, sizeof rs.s) && write_pod(f, has_cached) &&
+         write_bytes(f, pad, sizeof pad) && write_pod(f, rs.cached);
+}
+
+bool read_rng_state(std::FILE* f, Rng::State& rs) {
+  uint8_t has_cached = 0;
+  uint8_t pad[7] = {};
+  if (!read_bytes(f, rs.s, sizeof rs.s) || !read_pod(f, has_cached) ||
+      !read_bytes(f, pad, sizeof pad) || !read_pod(f, rs.cached))
+    return false;
+  rs.has_cached = has_cached != 0;
+  return true;
+}
+
+}  // namespace
+
 Apollo::Apollo(const ApolloConfig& cfg, std::string display_name)
     : cfg_(cfg), display_name_(std::move(display_name)), dense_(cfg.hyper),
       seeder_(cfg.seed) {
@@ -193,7 +217,7 @@ int64_t Apollo::state_bytes() const {
 // lint:allow(check-shape-preconditions)
 bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
   const Rng::State rs = seeder_.state();
-  if (!write_pod(f, t_) || !write_pod(f, rs)) return false;
+  if (!write_pod(f, t_) || !write_rng_state(f, rs)) return false;
   for (size_t i = 0; i < params.size(); ++i) {
     // A slot is "present" once it has been projected at least once — the
     // byte layout matches the old pointer-keyed format exactly (v3
@@ -221,7 +245,7 @@ bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
 
 bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
   Rng::State rs;
-  if (!read_pod(f, t_) || !read_pod(f, rs)) return false;
+  if (!read_pod(f, t_) || !read_rng_state(f, rs)) return false;
   seeder_.set_state(rs);
   states_.assign(params.size(), State());
   for (size_t i = 0; i < params.size(); ++i) {
@@ -256,7 +280,7 @@ bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
 // lint:allow(check-shape-preconditions)
 bool Apollo::merge_state(std::FILE* f, const nn::ParamList& params) {
   Rng::State rs;
-  if (!read_pod(f, t_) || !read_pod(f, rs)) return false;
+  if (!read_pod(f, t_) || !read_rng_state(f, rs)) return false;
   seeder_.set_state(rs);  // identical in every shard of a step
   if (states_.size() < params.size()) states_.resize(params.size());
   for (size_t i = 0; i < params.size(); ++i) {

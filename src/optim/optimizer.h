@@ -17,7 +17,7 @@
 // order — the shared step-counter increment, RNG draws for projection seeds,
 // state-slot allocation — so the per-parameter updates are order-independent
 // and mathematically independent. That independence is what lets the fused
-// trainer path (train/update_pipeline.h, APOLLO_FUSED_UPDATE=1) apply
+// trainer path (train/update_pipeline.h, TrainConfig::fused_update) apply
 // step_param inside Tape::backward the moment a layer's gradient is final,
 // keeping peak gradient memory at O(largest layer) instead of O(all
 // parameters) — the paper's layer-wise gradient update (§5.4, Lv et al.

@@ -21,14 +21,18 @@ inline bool read_bytes(std::FILE* f, void* p, size_t n) {
   return n == 0 || std::fread(p, 1, n, f) == n;
 }
 
+// Only padding-free types: padding bytes are indeterminate, so writing them
+// would make checkpoint bytes differ from run to run.
 template <typename T>
 bool write_pod(std::FILE* f, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(std::is_arithmetic_v<T> ||
+                std::has_unique_object_representations_v<T>);
   return write_bytes(f, &v, sizeof v);
 }
 template <typename T>
 bool read_pod(std::FILE* f, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(std::is_arithmetic_v<T> ||
+                std::has_unique_object_representations_v<T>);
   return read_bytes(f, &v, sizeof v);
 }
 

@@ -29,9 +29,11 @@ class CrcWriter {
     }
     crc_ = fault::crc32_update(crc_, p, n);
   }
+  // Padding-free types only, as for apollo::write_pod (tensor/serialize.h).
   template <typename T>
   void write_pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(std::is_arithmetic_v<T> ||
+                  std::has_unique_object_representations_v<T>);
     write(&v, sizeof v);
   }
   // Writes the CRC of the section that just ended (the CRC bytes themselves
@@ -71,7 +73,8 @@ class CrcReader {
   }
   template <typename T>
   bool read_pod(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(std::is_arithmetic_v<T> ||
+                  std::has_unique_object_representations_v<T>);
     return read(&v, sizeof v);
   }
   // Returns true when the stored section CRC matches the accumulated one;

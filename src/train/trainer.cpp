@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <memory>
 #include <optional>
@@ -32,11 +31,6 @@ namespace {
 void skip_batches(data::BatchLoader& loader, int64_t n) {
   std::vector<int32_t> ids, targets;
   for (int64_t i = 0; i < n; ++i) loader.next(ids, targets);
-}
-
-bool fused_env_enabled() {
-  const char* e = std::getenv("APOLLO_FUSED_UPDATE");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
 }
 
 }  // namespace
@@ -172,23 +166,6 @@ TrainResult Trainer::run() {
   // (grad-norm reduction, timing, JSONL write) is never taken.
   const bool telemetry = obs::telemetry_enabled();
   const bool faults = fault::enabled();
-  const bool fused_requested = cfg_.fused_update || fused_env_enabled();
-  // Every in-tree mode now composes with the fused path: gradient
-  // accumulation stashes complete per-micro gradients at leaf-completion,
-  // nan_grad faults inject there, and quantized weights requantize per slot.
-  // The fallback machinery stays for future truly-unsupported combinations:
-  // set `fused_unsupported` to a reason string to divert to the classic loop
-  // with a single warning and a `train.fused_fallback` counter bump.
-  const char* fused_unsupported = nullptr;
-  const bool fused = fused_requested && fused_unsupported == nullptr;
-  if (fused_requested && !fused) {
-    obs::Registry::instance().counter("train.fused_fallback").add(1);
-    std::fprintf(stderr,
-                 "[train] fused update requested but unavailable (%s); "
-                 "falling back to the unfused step\n",
-                 fused_unsupported != nullptr ? fused_unsupported
-                                              : "unsupported mode");
-  }
 
   // The shared per-leaf update machinery; both branches below drive it.
   UpdatePipeline pipeline(opt_, comm_, qstore_);
@@ -304,7 +281,7 @@ TrainResult Trainer::run() {
     pipeline.arm(params, want_norm, accum);
     if (faults && fault::take_at(fault::Kind::kNanGrad, step))
       pipeline.arm_nan_grad();
-    if (fused) {
+    if (cfg_.fused_update) {
       // Free parameter gradients instead of zeroing them: backward lazily
       // re-creates each one zero-filled on first touch, so a gradient only
       // occupies memory between its first accumulation and its fused

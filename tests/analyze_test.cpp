@@ -1,5 +1,5 @@
 // Subprocess tests for tools/apollo_analyze.cpp: plant violations for each
-// of the four passes in a throwaway tree, run the real binary against it,
+// of the five passes in a throwaway tree, run the real binary against it,
 // and assert rule ids, baseline-diff semantics, suppressions, and the
 // JSON/SARIF sinks. APOLLO_ANALYZE_BIN is injected by tests/CMakeLists.txt.
 //
@@ -8,12 +8,14 @@
 // apollo_analyze ctest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace fs = std::filesystem;
 
@@ -388,6 +390,184 @@ TEST_F(AnalyzeTest, TestOnlyEnvVarsAreExemptFromDocs) {
 }
 
 // ---------------------------------------------------------------------------
+// Pass 5: lint
+// ---------------------------------------------------------------------------
+
+// One planted violation of each lint rule, each in its own file and
+// violating nothing else, so suppressing that one rule cleans the file.
+struct Planted {
+  const char* rule;
+  const char* path;
+  std::vector<std::string> lines;
+  std::vector<int> hits;  // 1-based lines the rule reports
+};
+
+const std::vector<Planted>& planted_lint_violations() {
+  static const std::vector<Planted> kPlanted = {
+      {"raw-thread",
+       "src/bad_thread.cpp",
+       {"#include <thread>",
+        "void spawn() { std::thread t([] {}); t.join(); }"},
+       {2}},
+      {"raw-rng",
+       "src/bad_rng.cpp",
+       {"#include <cstdlib>", "int roll() { return rand(); }"},
+       {2}},
+      {"raw-simd-intrinsic",
+       "src/bad_simd.cpp",
+       {"#include <immintrin.h>", "float hsum8(const float* p) {",
+        "  __m256 v = _mm256_loadu_ps(p);",
+        "  __m128 lo = _mm256_castps256_ps128(v);",
+        "  return _mm_cvtss_f32(lo);", "}"},
+       {1, 3, 4, 5}},
+      {"unordered-float-accum",
+       "src/bad_accum.cpp",
+       {"#include <unordered_map>",
+        "float total(const std::unordered_map<int, float>& m) {",
+        "  float s = 0.f;", "  for (const auto& kv : m) s += kv.second;",
+        "  return s;", "}"},
+       {4}},
+      {"pragma-once",
+       "src/bad_guard.h",
+       {"inline int three() { return 3; }"},
+       {1}},
+      {"using-namespace-header",
+       "src/bad_using.h",
+       {"#pragma once", "using namespace std;"},
+       {2}},
+      {"raw-new-delete",
+       "src/bad_new.cpp",
+       {"int* make() { return new int(3); }",
+        "void drop(int* p) { delete p; }"},
+       {1, 2}},
+      {"printf-float-precision",
+       "src/bad_printf.cpp",
+       {"#include <cstdio>",
+        "void show(double x) { std::printf(\"%f\\n\", x); }"},
+       {2}},
+      {"check-shape-preconditions",
+       "src/optim/bad_entry.cpp",
+       {"#include \"tensor/matrix.h\"", "namespace apollo::optim {",
+        "void apply_scale(Matrix& g, float s) {",
+        "  for (long i = 0; i < g.size(); ++i) g[i] *= s;", "}", "}"},
+       {3}},
+  };
+  return kPlanted;
+}
+
+// How each planted file is written: as is, with a `lint:allow(rule)`
+// trailing every reported line, or with a leading `lint:allow-file(rule)`.
+enum class Allow { kNone, kLine, kFile };
+
+std::string planted_text(const Planted& p, Allow allow) {
+  std::string text;
+  if (allow == Allow::kFile)
+    text += std::string("// lint:allow-file(") + p.rule + ")\n";
+  for (size_t i = 0; i < p.lines.size(); ++i) {
+    text += p.lines[i];
+    const int line = static_cast<int>(i) + 1;
+    if (allow == Allow::kLine &&
+        std::find(p.hits.begin(), p.hits.end(), line) != p.hits.end())
+      text += std::string("  // lint:allow(") + p.rule + ")";
+    text += "\n";
+  }
+  return text;
+}
+
+TEST_F(AnalyzeTest, EveryLintRuleFiresOnItsPlantedViolation) {
+  size_t total = 0;
+  for (const Planted& p : planted_lint_violations()) {
+    put(p.path, planted_text(p, Allow::kNone));
+    total += p.hits.size();
+  }
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  for (const Planted& p : planted_lint_violations())
+    for (int line : p.hits) {
+      const std::string want = std::string(p.path) + ":" +
+                               std::to_string(line) + ": " + p.rule + ":";
+      EXPECT_NE(r.output.find(want), std::string::npos) << want << r.output;
+    }
+  // Exactly the planted findings: no rule fires on another rule's file.
+  EXPECT_NE(r.output.find(std::to_string(total) + " new finding(s)"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(AnalyzeTest, LineAllowSilencesEveryLintRule) {
+  for (const Planted& p : planted_lint_violations())
+    put(p.path, planted_text(p, Allow::kLine));
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, FileAllowSilencesEveryLintRule) {
+  for (const Planted& p : planted_lint_violations())
+    put(p.path, planted_text(p, Allow::kFile));
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LineAllowOnTheLineAboveSilencesTheRule) {
+  put("src/suppressed.cpp",
+      "#include <thread>\n"
+      "// lint:allow(raw-thread)\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintAllowOfOneRuleDoesNotHideAnother) {
+  put("src/partial.cpp",
+      "#include <thread>\n"
+      "// lint:allow(raw-rng)\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/partial.cpp:3: raw-thread:"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(AnalyzeTest, SimdIntrinsicsAllowedInsideTensorSimd) {
+  put("src/tensor/simd/kernels_demo.cpp",
+      "#include <immintrin.h>\n"
+      "float first(const float* p) {\n"
+      "  __m256 v = _mm256_loadu_ps(p);\n"
+      "  return _mm256_cvtss_f32(v);\n"
+      "}\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, ShapePreconditionRuleAcceptsCheckedAndInternalHelpers) {
+  put("src/optim/entry.cpp",
+      "#include \"tensor/matrix.h\"\n"
+      "namespace apollo::optim {\n"
+      "namespace {\n"
+      "void scale_inner(Matrix& g, float s) { g[0] *= s; }\n"
+      "}\n"
+      "static void scale_static(Matrix& g, float s) { g[0] *= s; }\n"
+      "void apply_scale(Matrix& g, float s) {\n"
+      "  APOLLO_CHECK(g.size() > 0);\n"
+      "  scale_inner(g, s);\n"
+      "  scale_static(g, s);\n"
+      "}\n"
+      "}\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintIgnoresCommentsAndStrings) {
+  put("src/innocuous.cpp",
+      "// std::thread in a comment is fine; so is rand().\n"
+      "const char* kDoc = \"uses std::thread and new int[4]\";\n"
+      "int use() { return kDoc[0]; }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+// ---------------------------------------------------------------------------
 // Baseline-diff semantics
 // ---------------------------------------------------------------------------
 
@@ -463,10 +643,11 @@ TEST_F(AnalyzeTest, SinglePassSelectionSkipsOtherPasses) {
   EXPECT_EQ(r.output.find("env-undocumented"), std::string::npos) << r.output;
 }
 
-TEST(AnalyzeCliTest, ListPassesNamesAllFour) {
+TEST(AnalyzeCliTest, ListPassesNamesAllFive) {
   const RunResult r = run_analyze("--list-passes");
   EXPECT_EQ(r.exit_code, 0);
-  for (const char* pass : {"layering", "concurrency", "hotpath", "docdrift"})
+  for (const char* pass :
+       {"layering", "concurrency", "hotpath", "docdrift", "lint"})
     EXPECT_NE(r.output.find(pass), std::string::npos) << pass;
 }
 

@@ -1,19 +1,8 @@
-// apollo-lint — repo-invariant static analysis for the APOLLO codebase.
-//
-// A self-contained C++20 tool (no external dependencies, per the repo rule)
-// that scans src/, tools/, bench/ and tests/ and enforces the invariants the
-// test suite cannot see — determinism hazards, hygiene, and API-contract
-// rules. Low-rank-state optimizers are exactly where silent numeric
-// corruption hides (projected-moment drift surfaces thousands of steps in),
-// so these are machine-checked rather than left to reviewer vigilance.
-//
-// Rules run over the shared token stream from tools/analyze/source_model.*
-// (the same lexer apollo-analyze uses), so string/comment/raw-string
-// contents can never false-positive and every match is word-boundary exact.
-//
-// Rules (each suppressible with `// lint:allow(rule-id)` on the offending
-// line or the line directly above, or `// lint:allow-file(rule-id)` anywhere
-// in the file):
+// Lint pass: per-file repo invariants the test suite cannot see —
+// determinism hazards, hygiene, and API-contract rules. Low-rank-state
+// optimizers are exactly where silent numeric corruption hides
+// (projected-moment drift surfaces thousands of steps in), so these are
+// machine-checked rather than left to code review.
 //
 //   raw-thread                std::thread / std::jthread / std::async /
 //                             OpenMP outside core/threadpool.* — all
@@ -46,80 +35,66 @@
 //                             constructors with init-lists, static helpers,
 //                             anonymous namespaces, and bodies delegating to
 //                             Optimizer::begin_step/end_step are exempt).
-//
-// Exit status: 0 when clean, 1 with `file:line: rule-id: message`
-// diagnostics otherwise, 2 on usage/IO errors.
-#include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <filesystem>
-#include <iostream>
 #include <set>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "analyze/source_model.h"
+#include "analyze/passes.h"
 
-namespace fs = std::filesystem;
+namespace analyze {
+
+namespace {
+
 using srcmodel::SourceFile;
 using srcmodel::TokKind;
 using srcmodel::Token;
 
-namespace {
-
-struct Diagnostic {
-  std::string file;
-  int line = 0;
-  std::string rule;
-  std::string message;
-};
-
-// ---------------------------------------------------------------------------
-// Rule engine
-// ---------------------------------------------------------------------------
-
 class Linter {
  public:
-  explicit Linter(std::vector<Diagnostic>* out) : out_(out) {}
+  Linter(const SourceFile& sf, std::vector<Finding>& out)
+      : sf_(sf), out_(out) {}
 
-  void lint(const SourceFile& ft) {
-    rule_raw_thread(ft);
-    rule_raw_rng(ft);
-    rule_raw_simd_intrinsic(ft);
-    rule_unordered_float_accum(ft);
-    rule_pragma_once(ft);
-    rule_using_namespace_header(ft);
-    rule_raw_new_delete(ft);
-    rule_printf_float_precision(ft);
-    rule_check_shape_preconditions(ft);
+  void run() {
+    rule_raw_thread();
+    rule_raw_rng();
+    rule_raw_simd_intrinsic();
+    rule_unordered_float_accum();
+    rule_pragma_once();
+    rule_using_namespace_header();
+    rule_raw_new_delete();
+    rule_printf_float_precision();
+    rule_check_shape_preconditions();
   }
 
  private:
-  void emit(const SourceFile& ft, int line, const std::string& rule,
+  void emit(int line, const std::string& rule, const std::string& detail,
             const std::string& message) {
-    if (ft.allowed(line, rule)) return;
-    out_->push_back({ft.display_path, line, rule, message});
+    if (sf_.allowed(line, rule)) return;
+    out_.push_back({rule, sf_.display_path, line, detail, message});
   }
 
   // --- determinism ---------------------------------------------------------
 
-  void rule_raw_thread(const SourceFile& ft) {
-    if (ft.path_contains("core/threadpool.")) return;
-    const std::vector<Token>& t = ft.tokens;
+  void rule_raw_thread() {
+    if (sf_.path_contains("core/threadpool.")) return;
+    const std::vector<Token>& t = sf_.tokens;
     int last_line = 0;
-    auto hit = [&](size_t i, std::string_view what) {
+    auto hit = [&](size_t i, const std::string& what) {
       if (t[i].line == last_line) return;  // one diagnostic per line
       last_line = t[i].line;
-      emit(ft, t[i].line, "raw-thread",
-           "raw threading primitive (" + std::string(what) +
+      emit(t[i].line, "raw-thread", what,
+           "raw threading primitive (" + what +
                "); route parallel work through core/threadpool.* so the "
                "determinism contract holds for any APOLLO_THREADS");
     };
     for (size_t i = 0; i < t.size(); ++i) {
       for (std::string_view name : {"thread", "jthread", "async"})
-        if (srcmodel::match_seq(t, i, {"std", "::", name})) hit(i, "std::" + std::string(name));
+        if (srcmodel::match_seq(t, i, {"std", "::", name}))
+          hit(i, "std::" + std::string(name));
       if (t[i].kind == TokKind::kHeaderName && t[i].text == "omp.h")
         hit(i, "omp.h");
       if (srcmodel::match_seq(t, i, {"#", "pragma", "omp"}))
@@ -127,9 +102,9 @@ class Linter {
     }
   }
 
-  void rule_raw_rng(const SourceFile& ft) {
-    if (ft.path_contains("tensor/rng.")) return;
-    const std::vector<Token>& t = ft.tokens;
+  void rule_raw_rng() {
+    if (sf_.path_contains("tensor/rng.")) return;
+    const std::vector<Token>& t = sf_.tokens;
     for (size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != TokKind::kIdent) continue;
       const std::string& name = t[i].text;
@@ -138,7 +113,7 @@ class Linter {
                            name == "drand48") &&
                           i + 1 < t.size() && srcmodel::is_punct(t[i + 1], "(");
       if (c_call || name == "random_device") {
-        emit(ft, t[i].line, "raw-rng",
+        emit(t[i].line, "raw-rng", name,
              "non-reproducible randomness (" + name +
                  "); all randomness must flow through the seeded "
                  "apollo::Rng (tensor/rng.*)");
@@ -156,7 +131,7 @@ class Linter {
           seeded = close != t.size() && close > j + 1;
         }
         if (!seeded) {
-          emit(ft, t[i].line, "raw-rng",
+          emit(t[i].line, "raw-rng", name,
                "unseeded std::" + name +
                    "; seed explicitly, or better use apollo::Rng "
                    "(tensor/rng.*)");
@@ -169,9 +144,9 @@ class Linter {
   // must go through the dispatched KernelTable (tensor/simd/simd.h) so the
   // scalar fallback stays complete and the conformance harness covers every
   // code path that touches vector lanes.
-  void rule_raw_simd_intrinsic(const SourceFile& ft) {
-    if (ft.path_contains("tensor/simd/")) return;
-    const std::vector<Token>& t = ft.tokens;
+  void rule_raw_simd_intrinsic() {
+    if (sf_.path_contains("tensor/simd/")) return;
+    const std::vector<Token>& t = sf_.tokens;
     int last_line = 0;
     for (size_t i = 0; i < t.size(); ++i) {
       std::string hit;
@@ -184,7 +159,7 @@ class Linter {
           if (t[i].text.rfind(pre, 0) == 0) hit = std::string(pre) + "*";
       if (hit.empty() || t[i].line == last_line) continue;
       last_line = t[i].line;
-      emit(ft, t[i].line, "raw-simd-intrinsic",
+      emit(t[i].line, "raw-simd-intrinsic", hit,
            "raw SIMD intrinsic (" + hit +
                ") outside src/tensor/simd/; call through the dispatched "
                "simd::KernelTable (tensor/simd/simd.h) so the scalar "
@@ -192,8 +167,8 @@ class Linter {
     }
   }
 
-  void rule_unordered_float_accum(const SourceFile& ft) {
-    const std::vector<Token>& t = ft.tokens;
+  void rule_unordered_float_accum() {
+    const std::vector<Token>& t = sf_.tokens;
     // Names of variables declared as unordered containers in this file.
     std::set<std::string> unordered_vars;
     for (size_t i = 0; i < t.size(); ++i) {
@@ -260,7 +235,8 @@ class Linter {
         if (k == 0 || t[k - 1].kind != TokKind::kIdent) continue;
         const std::string& target = t[k - 1].text;
         if (is_float_var(t, target)) {
-          emit(ft, t[k].line, "unordered-float-accum",
+          emit(t[k].line, "unordered-float-accum",
+               target + " over " + range_var,
                "float accumulation into '" + target +
                    "' while iterating std::unordered container '" +
                    range_var +
@@ -285,25 +261,26 @@ class Linter {
 
   // --- hygiene -------------------------------------------------------------
 
-  void rule_pragma_once(const SourceFile& ft) {
-    if (!ft.is_header) return;
-    for (size_t i = 0; i < ft.tokens.size(); ++i)
-      if (srcmodel::match_seq(ft.tokens, i, {"#", "pragma", "once"})) return;
-    emit(ft, 1, "pragma-once", "header is missing #pragma once");
+  void rule_pragma_once() {
+    if (!sf_.is_header) return;
+    for (size_t i = 0; i < sf_.tokens.size(); ++i)
+      if (srcmodel::match_seq(sf_.tokens, i, {"#", "pragma", "once"})) return;
+    emit(1, "pragma-once", "", "header is missing #pragma once");
   }
 
-  void rule_using_namespace_header(const SourceFile& ft) {
-    if (!ft.is_header) return;
-    const std::vector<Token>& t = ft.tokens;
+  void rule_using_namespace_header() {
+    if (!sf_.is_header) return;
+    const std::vector<Token>& t = sf_.tokens;
     for (size_t i = 0; i + 1 < t.size(); ++i)
       if (srcmodel::is_ident(t[i], "using") &&
           srcmodel::is_ident(t[i + 1], "namespace"))
-        emit(ft, t[i].line, "using-namespace-header",
+        emit(t[i].line, "using-namespace-header",
+             i + 2 < t.size() ? t[i + 2].text : "",
              "`using namespace` in a header leaks into every includer");
   }
 
-  void rule_raw_new_delete(const SourceFile& ft) {
-    const std::vector<Token>& t = ft.tokens;
+  void rule_raw_new_delete() {
+    const std::vector<Token>& t = sf_.tokens;
     // An `operator` token earlier on the same line means we are looking at
     // an operator new/delete declaration, not an allocation.
     auto operator_on_line = [&](size_t i) {
@@ -321,7 +298,7 @@ class Linter {
         if (allocates && !operator_on_line(i) &&
             t[i].line != last_new_line) {
           last_new_line = t[i].line;
-          emit(ft, t[i].line, "raw-new-delete",
+          emit(t[i].line, "raw-new-delete", "new",
                "raw `new`; use std::vector / std::make_unique so ownership "
                "is explicit");
         }
@@ -331,16 +308,16 @@ class Linter {
         if (!deleted_fn && !operator_on_line(i) &&
             t[i].line != last_delete_line) {
           last_delete_line = t[i].line;
-          emit(ft, t[i].line, "raw-new-delete",
+          emit(t[i].line, "raw-new-delete", "delete",
                "raw `delete`; use owning containers / smart pointers");
         }
       }
     }
   }
 
-  void rule_printf_float_precision(const SourceFile& ft) {
-    if (!ft.path_starts_with("src/")) return;
-    const std::vector<Token>& t = ft.tokens;
+  void rule_printf_float_precision() {
+    if (!sf_.path_starts_with("src/")) return;
+    const std::vector<Token>& t = sf_.tokens;
     for (size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != TokKind::kIdent) continue;
       const std::string& fn = t[i].text;
@@ -355,13 +332,13 @@ class Linter {
       // multi-line format strings are covered.
       for (size_t k = i + 2; k < close; ++k) {
         if (t[k].kind != TokKind::kString) continue;
-        scan_format(ft, t[k]);
+        scan_format(t[k]);
       }
       i = close;
     }
   }
 
-  void scan_format(const SourceFile& ft, const Token& str) {
+  void scan_format(const Token& str) {
     const std::string& s = str.text;
     for (size_t j = 0; j < s.size(); ++j) {
       if (s[j] != '%') continue;
@@ -380,7 +357,7 @@ class Linter {
         ++k;
       }
       if (k < s.size() && std::strchr("fFeEgG", s[k]) != nullptr && !has_dot) {
-        emit(ft, str.line, "printf-float-precision",
+        emit(str.line, "printf-float-precision", s.substr(j, k + 1 - j),
              std::string("float conversion %") + s[k] +
                  " without explicit precision; pin it (e.g. %.6g) so "
                  "output is byte-stable across platforms");
@@ -391,11 +368,11 @@ class Linter {
 
   // --- API contract --------------------------------------------------------
 
-  void rule_check_shape_preconditions(const SourceFile& ft) {
-    if (!ft.path_starts_with("src/optim/") &&
-        !ft.path_starts_with("src/core/"))
+  void rule_check_shape_preconditions() {
+    if (!sf_.path_starts_with("src/optim/") &&
+        !sf_.path_starts_with("src/core/"))
       return;
-    const std::vector<Token>& t = ft.tokens;
+    const std::vector<Token>& t = sf_.tokens;
 
     // Anonymous-namespace extents (internal helpers are exempt).
     std::vector<std::pair<size_t, size_t>> anon;
@@ -466,7 +443,7 @@ class Linter {
           checked = true;
       }
       if (checked) continue;
-      emit(ft, t[i - 1].line, "check-shape-preconditions",
+      emit(t[i - 1].line, "check-shape-preconditions", name,
            "'" + name +
                "' takes Matrix/ParamList arguments but never "
                "APOLLO_CHECKs its preconditions; add a shape/size check "
@@ -474,86 +451,14 @@ class Linter {
     }
   }
 
-  std::vector<Diagnostic>* out_;
+  const SourceFile& sf_;
+  std::vector<Finding>& out_;
 };
-
-// ---------------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------------
-
-void print_rules() {
-  std::cout <<
-      "raw-thread                determinism: no std::thread/std::async/"
-      "OpenMP outside core/threadpool.*\n"
-      "raw-rng                   determinism: no rand()/random_device/"
-      "unseeded mt19937 outside tensor/rng.*\n"
-      "raw-simd-intrinsic        isolation: no _mm*/__m256/__m512 "
-      "intrinsics outside src/tensor/simd/\n"
-      "unordered-float-accum     determinism: no float accumulation over "
-      "unordered containers\n"
-      "pragma-once               hygiene: headers carry #pragma once\n"
-      "using-namespace-header    hygiene: no `using namespace` in headers\n"
-      "raw-new-delete            hygiene: no raw new/delete\n"
-      "printf-float-precision    hygiene: float printf in src/ pins "
-      "precision\n"
-      "check-shape-preconditions contract: optim/core entry points "
-      "APOLLO_CHECK their Matrix/ParamList/Parameter inputs\n"
-      "Suppress with // lint:allow(rule-id) on or above the line, or "
-      "// lint:allow-file(rule-id).\n";
-}
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  fs::path root = ".";
-  std::vector<std::string> dirs;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--list-rules") {
-      print_rules();
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: apollo-lint [--root DIR] [--list-rules] "
-                   "[subdir...]\n       (default subdirs: src tools bench "
-                   "tests)\n";
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "apollo-lint: unknown option " << arg << "\n";
-      return 2;
-    } else {
-      dirs.emplace_back(arg);
-    }
-  }
-  if (dirs.empty()) dirs = {"src", "tools", "bench", "tests"};
-
-  const std::vector<fs::path> files = srcmodel::collect_sources(root, dirs);
-
-  std::vector<Diagnostic> diags;
-  Linter linter(&diags);
-  int scanned = 0;
-  for (const fs::path& f : files) {
-    SourceFile ft;
-    if (!srcmodel::load_file(f, fs::relative(f, root).generic_string(), ft)) {
-      std::cerr << "apollo-lint: cannot read " << f << "\n";
-      return 2;
-    }
-    linter.lint(ft);
-    ++scanned;
-  }
-
-  std::sort(diags.begin(), diags.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
-  });
-  for (const Diagnostic& d : diags)
-    std::cout << d.file << ":" << d.line << ": " << d.rule << ": "
-              << d.message << "\n";
-  if (diags.empty()) {
-    std::cout << "apollo-lint: " << scanned << " files clean\n";
-    return 0;
-  }
-  std::cerr << "apollo-lint: " << diags.size() << " finding(s) in "
-            << scanned << " files\n";
-  return 1;
+void pass_lint(const AnalysisContext& ctx, std::vector<Finding>& out) {
+  for (const auto& entry : ctx.files) Linter(entry.second, out).run();
 }
+
+}  // namespace analyze

@@ -1,4 +1,4 @@
-// The four apollo-analyze passes. Each pass reads the shared
+// The five apollo-analyze passes. Each pass reads the shared
 // AnalysisContext (lexed sources + include graph + layering policy) and
 // appends findings; it must honor `// lint:allow(rule)` suppressions via
 // SourceFile::allowed() before emitting.
@@ -10,6 +10,10 @@
 //                 parallel-nested, parallel-unordered-accum
 //   hotpath       hot-path-alloc
 //   docdrift      env-undocumented, env-stale-doc
+//   lint          raw-thread, raw-rng, raw-simd-intrinsic,
+//                 unordered-float-accum, pragma-once, using-namespace-header,
+//                 raw-new-delete, printf-float-precision,
+//                 check-shape-preconditions
 #pragma once
 
 #include <filesystem>
@@ -52,5 +56,12 @@ void pass_hotpath(const AnalysisContext& ctx, std::vector<Finding>& out);
 // (4) Doc drift: every getenv("APOLLO_*") in src/tools/bench must have a
 // row in docs/ENVVARS.md and vice versa.
 void pass_docdrift(const AnalysisContext& ctx, std::vector<Finding>& out);
+
+// (5) Lint: per-file determinism (raw threads, unseeded RNG, SIMD intrinsics
+// outside src/tensor/simd/, float sums over unordered containers), hygiene
+// (#pragma once, header `using namespace`, raw new/delete, printf float
+// precision in src/), and APOLLO_CHECKed optim/core entry points. The rules
+// are described in pass_lint.cpp.
+void pass_lint(const AnalysisContext& ctx, std::vector<Finding>& out);
 
 }  // namespace analyze

@@ -1,9 +1,9 @@
-// Shared source model for the repo's static-analysis tools (apollo-lint,
-// apollo-analyze): a dependency-free, string/comment/raw-string aware C++
-// tokenizer plus the `// lint:allow(rule)` suppression machinery.
+// Source model for apollo-analyze, the repo's static checker: a
+// dependency-free, string/comment/raw-string aware C++ tokenizer plus the
+// `// lint:allow(rule)` suppression machinery shared by all its passes.
 //
-// Both tools are deliberately self-contained (no link against the apollo
-// libraries — they must build and run even when the library is broken), so
+// The tool is deliberately self-contained (no link against the apollo
+// libraries — it must build and run even when the library is broken), so
 // this layer depends on the standard library only.
 //
 // A SourceFile carries three synchronized views of one file:

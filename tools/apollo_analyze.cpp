@@ -1,17 +1,19 @@
 // apollo-analyze — whole-program static analysis for the APOLLO repo.
 //
-// Four passes over a shared source model (tools/analyze/):
+// Five passes over a shared source model (tools/analyze/):
 //   layering     module DAG vs tools/analyze/layers.toml, include cycles,
 //                transitively-included-but-used headers
 //   concurrency  discipline inside core::parallel_for lambda bodies
 //   hotpath      allocation reachable from hot roots (step_param, SIMD
 //                kernels, autograd backward closures)
 //   docdrift     getenv("APOLLO_*") ⇆ docs/ENVVARS.md, both directions
+//   lint         per-file determinism, hygiene, and API-contract rules
 //
 // Findings are diffed against a checked-in baseline
 // (tools/analyze/baseline.json) by line-independent fingerprint, so CI fails
-// only on NEW findings. `// lint:allow(rule)` comments suppress, same as
-// apollo-lint.
+// only on NEW findings. `// lint:allow(rule)` on or above a line, or
+// `// lint:allow-file(rule)` anywhere in a file, suppresses a rule id (the
+// ids are listed in analyze/passes.h).
 //
 // Exit codes: 0 = clean (no new findings), 1 = new findings, 2 = usage or
 // I/O error. Deliberately dependency-free: standard library only, no link
@@ -53,6 +55,10 @@ const std::vector<PassInfo>& passes() {
        analyze::pass_hotpath},
       {"docdrift", "getenv(\"APOLLO_*\") <-> docs/ENVVARS.md, both directions",
        analyze::pass_docdrift},
+      {"lint",
+       "no raw threads/RNG/SIMD/new, unordered float sums, header and "
+       "printf hygiene, shape checks",
+       analyze::pass_lint},
   };
   return kPasses;
 }

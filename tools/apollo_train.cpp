@@ -48,11 +48,10 @@ void usage() {
       "  --steps N --batch N --grad-accum N   (default 400 / 4 / 1)\n"
       "  --weight-decay F    decoupled weight decay (default 0)\n"
       "  --data PATH         byte-level text file (default: synthetic C4)\n"
-      "  --quantize-weights  INT8 weight store (Q- variants; also via\n"
-      "                      APOLLO_QUANT_WEIGHTS=1)\n"
+      "  --quantize-weights  INT8 weight store (Q- variants)\n"
       "  --fused-update      apply optimizer updates inside backward and\n"
       "                      free each gradient immediately (bit-identical\n"
-      "                      trajectory; also via APOLLO_FUSED_UPDATE=1)\n"
+      "                      trajectory)\n"
       "  --eval-every N      validation cadence (default steps/10)\n"
       "  --csv PATH          write the eval curve as CSV\n"
       "  --save PATH         write a checkpoint after training\n"
@@ -83,13 +82,6 @@ void usage() {
       "\n  APOLLO_FAULTS=\"nan_grad@40;crash@120:2\" plants deterministic\n"
       "  faults (crash/hang/nan_grad/torn_write, optionally scoped to one\n"
       "  rank with :R) for recovery testing — see docs/RESILIENCE.md.\n");
-}
-
-// Env-var twin of --quantize-weights (docs/ENVVARS.md), mirroring the
-// APOLLO_FUSED_UPDATE convention: any value other than empty/"0" enables.
-bool quant_weights_env_enabled() {
-  const char* e = std::getenv("APOLLO_QUANT_WEIGHTS");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
 }
 
 nn::LlamaConfig model_config(const tools::Args& args) {
@@ -189,8 +181,7 @@ int run_training(const tools::Args& args, dist::Communicator* comm) {
   const std::string load_path = args.get("load", "");
   std::string save_path = args.get("save", "");
   std::string csv_path = args.get("csv", "");
-  const bool quantize =
-      args.has("quantize-weights") || quant_weights_env_enabled();
+  const bool quantize = args.has("quantize-weights");
   for (const auto& flag : args.unknown())
     std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());
   if (comm != nullptr && comm->rank() != 0) {
@@ -321,10 +312,9 @@ int main(int argc, char** argv) {
                  "recovery already rewinds to the newest checkpoint)\n");
     return 1;
   }
-  if (args.has("quantize-weights") || quant_weights_env_enabled()) {
+  if (args.has("quantize-weights")) {
     std::fprintf(stderr,
-                 "error: --quantize-weights / APOLLO_QUANT_WEIGHTS is "
-                 "incompatible with --ranks\n");
+                 "error: --quantize-weights is incompatible with --ranks\n");
     return 1;
   }
   if (transport != "shm" && transport != "socket") {
