@@ -14,9 +14,28 @@ namespace apollo::dist {
 
 namespace {
 
+// A barrier waiter yields for this long before it starts napping between
+// polls. Waits inside a training step (a peer finishing its share of the
+// same work) are mostly shorter; a nap there costs its timer slack on every
+// wait. Long waits (a peer in validation or a checkpoint) still nap.
+constexpr auto kSpinBudget = std::chrono::milliseconds(2);
+
 void nap_us(long us) {
   timespec ts{0, us * 1000L};
   nanosleep(&ts, nullptr);
+}
+
+// out[i] = ((rank0[i] + rank1[i]) + rank2[i]) + … over `world` rank rows
+// spaced `stride` floats apart. Each element is summed left to right in rank
+// order — the determinism contract — and the loops run across elements, so
+// they vectorize without changing any element's association.
+void rank_ordered_sum(float* out, const float* rows, int64_t stride,
+                      int world, int64_t count) {
+  for (int64_t i = 0; i < count; ++i) out[i] = rows[i] + rows[stride + i];
+  for (int r = 2; r < world; ++r) {
+    const float* row = rows + static_cast<int64_t>(r) * stride;
+    for (int64_t i = 0; i < count; ++i) out[i] += row[i];
+  }
 }
 
 }  // namespace
@@ -88,13 +107,14 @@ void Communicator::barrier() {
     c.barrier_seq.store(gen + 1, std::memory_order_release);
     return;
   }
+  const auto start = std::chrono::steady_clock::now();
   const auto dl = deadline();
   int64_t spins = 0;
   while (c.barrier_seq.load(std::memory_order_acquire) == gen) {
     if ((++spins & 63) == 0) {
       heartbeat();
       check_interrupt("barrier", dl);
-      nap_us(50);
+      if (std::chrono::steady_clock::now() - start >= kSpinBudget) nap_us(50);
     } else {
       sched_yield();
     }
@@ -188,24 +208,14 @@ void Communicator::allreduce_sum(float* data, int64_t n) {
       std::memcpy(slot(rank_), data + off,
                   static_cast<size_t>(c) * sizeof(float));
       barrier();  // all slots written
-      // Every rank computes the identical left-to-right rank-ordered sum —
-      // sequential and scalar on purpose: this order IS the determinism
-      // contract, and it matches single-process micro-batch accumulation.
-      for (int64_t i = 0; i < c; ++i) {
-        float acc = slot(0)[i];
-        for (int r = 1; r < world_; ++r) acc += slot(r)[i];
-        data[off + i] = acc;
-      }
+      // Every rank computes the identical left-to-right rank-ordered sum of
+      // each element: this order IS the determinism contract, and it matches
+      // single-process micro-batch accumulation.
+      rank_ordered_sum(data + off, slot(0), kBucketFloats, world_, c);
       barrier();  // all ranks done reading; slots reusable
     } else {
       exchange_chunk(data + off, c);
-      const float* base = scratch_.data();
-      for (int64_t i = 0; i < c; ++i) {
-        float acc = base[i];
-        for (int r = 1; r < world_; ++r)
-          acc += base[static_cast<int64_t>(r) * kBucketFloats + i];
-        data[off + i] = acc;
-      }
+      rank_ordered_sum(data + off, scratch_.data(), kBucketFloats, world_, c);
     }
   }
 }

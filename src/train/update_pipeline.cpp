@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "tensor/check.h"
 #include "tensor/ops.h"
@@ -10,7 +11,14 @@ namespace apollo::train {
 
 UpdatePipeline::UpdatePipeline(optim::Optimizer& opt, dist::Communicator* comm,
                                core::QuantizedWeightStore* qstore)
-    : opt_(opt), comm_(comm), qstore_(qstore) {}
+    : opt_(opt), comm_(comm), qstore_(qstore) {
+  if (comm_ != nullptr && obs::telemetry_enabled()) {
+    obs::Registry& reg = obs::Registry::instance();
+    allreduce_bytes_ = &reg.counter("dist.allreduce_bytes");
+    broadcast_bytes_ = &reg.counter("dist.broadcast_bytes");
+    collective_ms_ = &reg.histogram("dist.collective_ms");
+  }
+}
 
 void UpdatePipeline::arm(const nn::ParamList& params, bool want_norm,
                          int accum) {
@@ -23,6 +31,9 @@ void UpdatePipeline::arm(const nn::ParamList& params, bool want_norm,
   stash_.assign(params.size(), Matrix());
   norms_.assign(params.size(), 0.0);
   stepped_.assign(params.size(), 0);
+  reduced_ = 0;
+  round_size_ = 0;
+  final_tape_ = nullptr;
   slot_of_.clear();
   slot_of_.reserve(params.size());
   for (size_t i = 0; i < params.size(); ++i) slot_of_[&params[i]->grad] = i;
@@ -38,6 +49,34 @@ size_t UpdatePipeline::slot_for(const Matrix* g) const {
 void UpdatePipeline::update_slot(size_t slot) {
   opt_.step_param(*(*params_)[slot], static_cast<int>(slot));
   if (qstore_ != nullptr) qstore_->requantize_param(static_cast<int>(slot));
+}
+
+void UpdatePipeline::run_round() {
+  for (int i = 0; i < round_size_; ++i) {
+    update_slot(round_[i]);
+    final_tape_->release_leaf_grad(&(*params_)[round_[i]]->grad);
+  }
+  round_size_ = 0;
+}
+
+void UpdatePipeline::allreduce(float* data, int64_t n) {
+  const auto t0 = collective_ms_ != nullptr ? Clock::now() : Clock::time_point();
+  comm_->allreduce_sum(data, n);
+  record_collective(allreduce_bytes_, n, t0);
+}
+
+void UpdatePipeline::broadcast(float* data, int64_t n, int root) {
+  const auto t0 = collective_ms_ != nullptr ? Clock::now() : Clock::time_point();
+  comm_->broadcast(data, n, root);
+  record_collective(broadcast_bytes_, n, t0);
+}
+
+void UpdatePipeline::record_collective(obs::Counter* bytes, int64_t n,
+                                       Clock::time_point t0) {
+  if (collective_ms_ == nullptr) return;
+  collective_ms_->observe(
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  bytes->add(n * static_cast<int64_t>(sizeof(float)));
 }
 
 void UpdatePipeline::stash_leaf(Matrix* g, ag::Tape& tape) {
@@ -71,25 +110,25 @@ void UpdatePipeline::on_final_leaf(Matrix* g, ag::Tape& tape) {
     *g = std::move(a);
     a = Matrix();
   }
-  nn::Parameter& p = *(*params_)[slot];
   if (inject_nan_ && slot == 0 && g->size() > 0) (*g)[0] = std::nanf("");
   // Backward visits leaves in graph order, which is a pure function of the
   // model structure — identical on every rank, so the collectives issued
-  // here stay aligned without any tagging.
-  if (comm_ != nullptr) comm_->allreduce_sum(g->data(), g->size());
+  // here (and the rounds counted from them) stay aligned without tagging.
+  if (comm_ != nullptr) allreduce(g->data(), g->size());
   if (want_norm_) norms_[slot] = frobenius_norm(*g);
-  if (opt_.owns_slot(static_cast<int>(slot))) update_slot(slot);
-  tape.release_leaf_grad(g);
-  if (comm_ != nullptr)
-    comm_->broadcast(p.value.data(), p.value.size(),
-                     static_cast<int>(slot) % world_);
   stepped_[slot] = 1;
+  final_tape_ = &tape;
+  if (opt_.owns_slot(static_cast<int>(slot)))
+    round_[round_size_++] = slot;
+  else
+    tape.release_leaf_grad(g);
+  if (++reduced_ % world_ == 0) run_round();
 }
 
 void UpdatePipeline::finish_fused() {
   const nn::ParamList& params = *params_;
+  run_round();
   for (size_t i = 0; i < params.size(); ++i) {
-    if (stepped_[i]) continue;
     nn::Parameter* p = params[i];
     Matrix& a = stash_[i];
     if (a.size() > 0) {
@@ -104,24 +143,24 @@ void UpdatePipeline::finish_fused() {
       if (want_norm_) norms_[i] = frobenius_norm(p->grad);
       if (opt_.owns_slot(static_cast<int>(i))) update_slot(i);
       p->grad = Matrix();
-    } else {
+    } else if (!stepped_[i] && opt_.owns_slot(static_cast<int>(i))) {
       // Dead leaf (outside every micro-batch's graph): a zero-gradient
       // update keeps weight decay and per-slot step counters aligned with
       // the classic loop. The zero gradient is identical on every rank, so
-      // no all-reduce is needed; the owner's update still broadcasts.
-      if (opt_.owns_slot(static_cast<int>(i))) {
-        p->grad.reshape_discard(p->value.rows(), p->value.cols());
-        if (inject_nan_ && i == 0 && p->grad.size() > 0) {
-          p->grad[0] = std::nanf("");
-          if (want_norm_) norms_[i] = frobenius_norm(p->grad);
-        }
-        update_slot(i);
-        p->grad = Matrix();
+      // no all-reduce is needed.
+      p->grad.reshape_discard(p->value.rows(), p->value.cols());
+      if (inject_nan_ && i == 0 && p->grad.size() > 0) {
+        p->grad[0] = std::nanf("");
+        if (want_norm_) norms_[i] = frobenius_norm(p->grad);
       }
-      if (comm_ != nullptr)
-        comm_->broadcast(p->value.data(), p->value.size(),
-                         static_cast<int>(i) % world_);
+      update_slot(i);
+      p->grad = Matrix();
     }
+    // The owner replicates every refreshed slot, in slot order on every
+    // rank: the final micro-batch's leaves were updated during backward.
+    if (comm_ != nullptr)
+      broadcast(p->value.data(), p->value.size(),
+                static_cast<int>(i) % world_);
   }
   opt_.end_step(params);
 }
@@ -180,7 +219,7 @@ void UpdatePipeline::reduce_classic_grads() {
   // Rank-ordered sums: from here every gradient is bit-identical on all
   // ranks (and to the grad_accum=world run).
   for (nn::Parameter* p : *params_)
-    if (p->grad.size() > 0) comm_->allreduce_sum(p->grad.data(), p->grad.size());
+    if (p->grad.size() > 0) allreduce(p->grad.data(), p->grad.size());
 }
 
 double UpdatePipeline::classic_grad_norm() const {
@@ -210,7 +249,7 @@ void UpdatePipeline::apply_classic() {
   if (comm_ != nullptr) {
     for (size_t i = 0; i < params.size(); ++i) {
       Matrix& v = params[i]->value;
-      comm_->broadcast(v.data(), v.size(), static_cast<int>(i) % world_);
+      broadcast(v.data(), v.size(), static_cast<int>(i) % world_);
     }
   }
 }

@@ -13,11 +13,21 @@
 //            as the classic accumulation loop (move the first complete
 //            gradient, then `a[k] += g[k]`). The final micro-batch runs with
 //            on_final_leaf(): complete the accumulation, inject any armed
-//            nan_grad fault, all-reduce, record the slot norm, apply
-//            step_param for owned slots, requantize the slot's INT8 weights
-//            in place, release the gradient, broadcast. finish_fused()
-//            sweeps leaves the final graph never touched (stashed-but-dead
-//            and truly dead) and runs end_step.
+//            nan_grad fault, all-reduce, record the slot norm, then queue
+//            the slot's update if this rank owns it (a non-owner releases
+//            the gradient at once). The queue runs after every W-th leaf
+//            all-reduce — a *round* — so under ZeRO-1 every rank's share of
+//            the updates (step_param, then in-place INT8 requantization,
+//            then the gradient release) falls between the same pair of
+//            collectives and the ranks update in parallel instead of taking
+//            turns. At most one round's owned gradients are pending. Single
+//            process (W = 1) is a round per leaf: update and release at
+//            once. finish_fused() runs the last partial round, then walks
+//            the slots in order: it sweeps leaves the final graph never
+//            touched (stashed-but-dead and truly dead), and each slot's owner
+//            broadcasts its refreshed weights. Then end_step.
+//            Deferring the weight updates and broadcasts is safe because
+//            backward never reads a weight after its leaf callback.
 //
 //   classic — per-micro stash_param_grads(), then finalize_classic_grads()
 //            (restore + zero-fill + fault injection), reduce_classic_grads(),
@@ -31,6 +41,8 @@
 // of the order slots complete in.
 #pragma once
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -39,6 +51,7 @@
 #include "core/quantized_weights.h"
 #include "dist/communicator.h"
 #include "nn/parameter.h"
+#include "obs/metrics.h"
 #include "optim/optimizer.h"
 #include "tensor/matrix.h"
 
@@ -64,9 +77,12 @@ class UpdatePipeline {
   void stash_leaf(Matrix* g, ag::Tape& tape);
   // opt.begin_step, after the trainer has set the step's learning rate.
   void begin_updates();
-  // Leaf callback for the final micro-batch: finish accumulation and apply.
+  // Leaf callback for the final micro-batch: finish accumulation, reduce,
+  // and queue (or run, at a round's end) the owned update.
   void on_final_leaf(Matrix* g, ag::Tape& tape);
-  // Stashed-but-dead and dead-leaf sweep, then opt.end_step.
+  // Last partial round, owner broadcasts, stashed-but-dead and dead-leaf
+  // sweep, then opt.end_step. Call it while the final micro-batch's tape is
+  // still alive: pending gradients are released into it.
   void finish_fused();
   // Slot-ordered std::fma reduction of the per-leaf norms.
   double fused_grad_norm() const;
@@ -91,6 +107,15 @@ class UpdatePipeline {
   size_t slot_for(const Matrix* g) const;
   // Owned-slot update: optimizer step, then in-place INT8 requantization.
   void update_slot(size_t slot);
+  // Fused driver: update every queued owned slot, release its gradient.
+  void run_round();
+  // Collectives. With metrics on, each call adds its payload to
+  // dist.allreduce_bytes / dist.broadcast_bytes and its wall time to the
+  // dist.collective_ms histogram.
+  using Clock = std::chrono::steady_clock;
+  void allreduce(float* data, int64_t n);
+  void broadcast(float* data, int64_t n, int root);
+  void record_collective(obs::Counter* bytes, int64_t n, Clock::time_point t0);
 
   optim::Optimizer& opt_;
   dist::Communicator* comm_;
@@ -104,7 +129,19 @@ class UpdatePipeline {
   std::unordered_map<const Matrix*, size_t> slot_of_;
   std::vector<Matrix> stash_;    // per-slot accumulated gradients
   std::vector<double> norms_;    // per-slot Frobenius norms
-  std::vector<char> stepped_;    // slots updated by the final-micro callback
+  std::vector<char> stepped_;    // slots reduced by the final-micro callback
+  // Fused driver: leaf all-reduces so far (rounds are counted from them),
+  // the owned slots of the current round, and the final micro-batch's tape.
+  // A round holds at most W <= kMaxRanks slots, so its queue is a fixed
+  // array and queuing never touches the heap.
+  int reduced_ = 0;
+  std::array<size_t, dist::kMaxRanks> round_{};
+  int round_size_ = 0;
+  ag::Tape* final_tape_ = nullptr;
+  // Collective metrics; null unless metrics are enabled.
+  obs::Counter* allreduce_bytes_ = nullptr;
+  obs::Counter* broadcast_bytes_ = nullptr;
+  obs::Histogram* collective_ms_ = nullptr;
 };
 
 }  // namespace apollo::train

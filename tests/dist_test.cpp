@@ -125,6 +125,77 @@ TEST(DistWorld, CollectivesAreCorrectOnBothTransports) {
   }
 }
 
+// Value rank r contributes to element i of the summation-order probe. Every
+// fourth element plants 1e8, 1, -1e8 on ranks 0..2: the rank-ordered sum
+// absorbs the 1 into 1e8 and cancels to rank 3's value, while any other
+// association keeps it. The other elements are seeded values spread over
+// sixteen binary orders of magnitude, so their rounding depends on the
+// association too.
+float order_probe(int r, int64_t i) {
+  if (i % 4 == 0 && r < 3) {
+    constexpr float kPlanted[3] = {1e8f, 1.f, -1e8f};
+    return kPlanted[r];
+  }
+  uint64_t z = static_cast<uint64_t>(i) * 8 + static_cast<uint64_t>(r) +
+               0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  z ^= z >> 31;
+  const float u = static_cast<float>(z >> 40) / 16777216.f - 0.5f;
+  return std::ldexp(u, static_cast<int>((z >> 8) % 16) - 8);
+}
+
+// The all-reduce result is the explicit left-to-right rank-ordered sum
+// ((x0 + x1) + x2) + x3 of every element, bit for bit, over two buckets
+// plus a remainder, on both transports; a broadcast spanning a bucket
+// boundary replicates the root's data exactly.
+TEST(DistWorld, AllreduceSumsInRankOrderOnBothTransports) {
+  constexpr int kRanks = 4;
+  const int64_t n = 2 * dist::kBucketFloats + 777;
+  std::vector<float> expected(static_cast<size_t>(n));
+  int64_t order_sensitive = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const float x0 = order_probe(0, i), x1 = order_probe(1, i),
+                x2 = order_probe(2, i), x3 = order_probe(3, i);
+    expected[static_cast<size_t>(i)] = ((x0 + x1) + x2) + x3;
+    if (expected[static_cast<size_t>(i)] != x0 + (x1 + (x2 + x3)))
+      ++order_sensitive;
+  }
+  // The probe only pins the order if other associations round differently.
+  ASSERT_GT(order_sensitive, n / 4);
+
+  for (const dist::Transport transport :
+       {dist::Transport::kShm, dist::Transport::kSocket}) {
+    SCOPED_TRACE(dist::transport_name(transport));
+    dist::WorldConfig cfg;
+    cfg.ranks = kRanks;
+    cfg.transport = transport;
+    cfg.timeout_ms = 20000;
+    dist::World world(cfg);
+    const int code = world.run([&](dist::Communicator& comm) -> int {
+      std::vector<float> v(static_cast<size_t>(n));
+      for (int64_t i = 0; i < n; ++i)
+        v[static_cast<size_t>(i)] = order_probe(comm.rank(), i);
+      comm.allreduce_sum(v.data(), n);
+      for (int64_t i = 0; i < n; ++i)
+        if (v[static_cast<size_t>(i)] != expected[static_cast<size_t>(i)])
+          return 3;
+
+      const int root = 1;
+      const int64_t nb = dist::kBucketFloats + 1000;
+      std::vector<float> b(static_cast<size_t>(nb), -1.f);
+      if (comm.rank() == root)
+        for (int64_t i = 0; i < nb; ++i)
+          b[static_cast<size_t>(i)] = order_probe(root, i);
+      comm.broadcast(b.data(), nb, root);
+      for (int64_t i = 0; i < nb; ++i)
+        if (b[static_cast<size_t>(i)] != order_probe(root, i)) return 4;
+      return 0;
+    });
+    EXPECT_EQ(code, 0);
+  }
+}
+
 // A rank exiting with a restartable code while its peers sit inside a
 // collective must drain the survivors and respawn the world at full width.
 TEST(DistWorld, RestartableExitRespawnsWorld) {
@@ -434,7 +505,7 @@ std::string metric_stream(const std::string& path, const std::string& key) {
 
 // The acceptance contract: a 4-rank world at the same global batch emits
 // the exact loss and grad-norm streams of `--grad-accum 4`, on every rank,
-// over both transports.
+// over both transports, with the classic and the fused update driver.
 TEST(DistE2E, FourRanksBitIdenticalToGradAccum) {
   const std::string dir = std::string(::testing::TempDir()) + "dist_bitid";
   std::filesystem::remove_all(dir);
@@ -452,6 +523,13 @@ TEST(DistE2E, FourRanksBitIdenticalToGradAccum) {
   ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=sock.jsonl " + bin + args +
                     " --ranks 4 --dist-transport socket > sock.log 2>&1"),
             0);
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=fshm.jsonl " + bin + args +
+                    " --ranks 4 --fused-update > fshm.log 2>&1"),
+            0);
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=fsock.jsonl " + bin + args +
+                    " --ranks 4 --fused-update --dist-transport socket"
+                    " > fsock.log 2>&1"),
+            0);
 
   for (const char* key : {"loss", "grad_norm"}) {
     SCOPED_TRACE(key);
@@ -459,6 +537,37 @@ TEST(DistE2E, FourRanksBitIdenticalToGradAccum) {
     EXPECT_EQ(solo, metric_stream(dir + "/shm.jsonl.rank0", key));
     EXPECT_EQ(solo, metric_stream(dir + "/shm.jsonl.rank3", key));
     EXPECT_EQ(solo, metric_stream(dir + "/sock.jsonl.rank0", key));
+    EXPECT_EQ(solo, metric_stream(dir + "/fshm.jsonl.rank0", key));
+    EXPECT_EQ(solo, metric_stream(dir + "/fshm.jsonl.rank3", key));
+    EXPECT_EQ(solo, metric_stream(dir + "/fsock.jsonl.rank1", key));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Fused ZeRO-1 at an odd width. The model has 3 + 9·layers = 21 leaves, so
+// W = 3 runs seven full rounds of three owned-update slots, while the W = 4
+// legs above end on a partial round that runs in finish_fused. The streams
+// must still be those of `--grad-accum 3`.
+TEST(DistE2E, ThreeRanksFusedBitIdenticalToGradAccum) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_fused3";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bin = APOLLO_TRAIN_BIN;
+  const std::string cd = "cd " + dir + " && ";
+  const std::string args = std::string(kShape) + " --steps 25";
+
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=solo.jsonl " + bin + args +
+                    " --grad-accum 3 > solo.log 2>&1"),
+            0);
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=fshm.jsonl " + bin + args +
+                    " --ranks 3 --fused-update > fshm.log 2>&1"),
+            0);
+
+  for (const char* key : {"loss", "grad_norm"}) {
+    SCOPED_TRACE(key);
+    const std::string solo = metric_stream(dir + "/solo.jsonl", key);
+    EXPECT_EQ(solo, metric_stream(dir + "/fshm.jsonl.rank0", key));
+    EXPECT_EQ(solo, metric_stream(dir + "/fshm.jsonl.rank2", key));
   }
   std::filesystem::remove_all(dir);
 }
