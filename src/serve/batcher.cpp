@@ -57,9 +57,9 @@ BatchDecoder::BatchDecoder(nn::LlamaModel& model, int max_batch)
   }
   transpose_into(lm_head_t_, model.lm_head().value);
 
-  // RoPE table, computed with the exact double-precision expression the
-  // single-request session evaluates per step, so the two paths rotate
-  // with bit-identical cos/sin factors.
+  // RoPE table, computed with the exact double-precision expression of the
+  // tape forward's table (autograd/ops_attention.cpp), so the two paths
+  // rotate with bit-identical cos/sin factors.
   rope_cos_.resize(static_cast<size_t>(cfg.seq_len) * static_cast<size_t>(half));
   rope_sin_.resize(rope_cos_.size());
   for (int pos = 0; pos < cfg.seq_len; ++pos) {
@@ -131,6 +131,13 @@ void BatchDecoder::release(int lane) {
   --active_;
 }
 
+const float* BatchDecoder::logits(int lane) const {
+  int r = 0;
+  while (r < active_ && rows_[static_cast<size_t>(r)] != lane) ++r;
+  APOLLO_CHECK_MSG(r < active_, "lane did not run in the latest decode_step");
+  return logits_.data() + static_cast<int64_t>(r) * model_.config().vocab;
+}
+
 int BatchDecoder::prefill_remaining(int lane) const {
   const Lane& ln = lanes_[static_cast<size_t>(lane)];
   if (!ln.occupied) return 0;
@@ -174,8 +181,7 @@ int32_t BatchDecoder::sample_row(int r, Lane& lane) {
       logits_.data() + static_cast<int64_t>(r) * v;
   const GenParams& p = lane.params;
   if (p.temperature <= 0.f) {
-    // Greedy argmax, first maximum — matches std::max_element in the
-    // single-request sampler.
+    // Greedy argmax, first maximum (the std::max_element convention).
     int64_t best = 0;
     for (int64_t i = 1; i < v; ++i)
       if (logits[i] > logits[best]) best = i;
@@ -283,7 +289,7 @@ void BatchDecoder::decode_step() {
     }
 
     // Per-lane causal attention over the cached window, chronological
-    // order (oldest → newest), identical to the single-request session.
+    // order (oldest → newest).
     // Lanes are independent: band-parallel, no shared writes.
     core::parallel_for(
         b,
@@ -367,6 +373,23 @@ void BatchDecoder::decode_step() {
       out.done = true;
       out.finish = FinishReason::kLength;
     }
+  }
+}
+
+std::vector<int32_t> generate(nn::LlamaModel& model,
+                              const std::vector<int32_t>& prompt,
+                              const GenParams& params) {
+  // admit() with max_tokens 0 would still emit one token.
+  APOLLO_CHECK_GE(params.max_tokens, 1);
+  BatchDecoder dec(model, 1);
+  const int lane = dec.admit(prompt, params);
+  std::vector<int32_t> out;
+  out.reserve(static_cast<size_t>(params.max_tokens));
+  for (;;) {
+    dec.decode_step();
+    const DecodeOut& o = dec.output(lane);
+    if (o.emitted) out.push_back(o.token);
+    if (o.done) return out;
   }
 }
 

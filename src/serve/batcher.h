@@ -7,6 +7,8 @@
 // is a uniform (b × hidden) batch. All activations, KV rows, projection
 // panels, and sampling scratch are allocated at construction — decode_step
 // is a hot root under the static analyzer's zero-allocation rule.
+// The projection panels are transposed copies of the weights taken at
+// construction: a model updated afterwards needs a new decoder.
 //
 // Numerics: per-lane output is a pure function of (weights, prompt,
 // GenParams). The dispatched gemm accumulates each output row over k in an
@@ -46,7 +48,7 @@ class BatchDecoder {
   int64_t kv_bytes() const { return arena_.bytes(); }
 
   // Claims a free lane for a new request (cold path; copies the prompt).
-  // An empty prompt is conditioned on token 0, matching nn::generate.
+  // An empty prompt is conditioned on token 0.
   // Returns the lane index, or -1 when all lanes are occupied.
   int admit(const std::vector<int32_t>& prompt, const GenParams& params);
 
@@ -63,6 +65,11 @@ class BatchDecoder {
   const DecodeOut& output(int lane) const {
     return outputs_[static_cast<size_t>(lane)];
   }
+
+  // The lane's logits row (vocab floats) from the latest decode_step, for
+  // tests that pin decode against the tape forward. Valid for a lane that
+  // ran in that step, until the next admit, release or decode_step.
+  const float* logits(int lane) const;
 
   // Runs one batched token step for every occupied lane. No-op when idle.
   // Zero-allocation: enforced by tools/analyze pass_hotpath.
@@ -94,11 +101,12 @@ class BatchDecoder {
                  int64_t n, int64_t k) const;
 
   // In-place rotary embedding on one hidden-length row at position `pos`,
-  // reading the precomputed cos/sin table (bit-identical to the
-  // single-request session's rope_vec).
+  // reading the precomputed cos/sin table.
   void rope_row(float* row, int pos) const;
 
-  // Replicates nn sampler pick() on logits row `r` using lane scratch.
+  // Samples the next token from logits row `r` with the lane's GenParams
+  // and RNG: greedy argmax at temperature 0, else top-k, then nucleus
+  // (top-p), then a temperature softmax draw. Uses shared scratch.
   int32_t sample_row(int r, Lane& lane);
 
   nn::LlamaModel& model_;
@@ -127,5 +135,12 @@ class BatchDecoder {
   std::vector<int32_t> cand_;
   std::vector<double> mass_, probs_;
 };
+
+// Decodes one request to completion on a fresh single-lane decoder and
+// returns its emitted tokens: max_tokens of them, or fewer when stop_token
+// fires. Cold path: the constructor transposes every weight first.
+std::vector<int32_t> generate(nn::LlamaModel& model,
+                              const std::vector<int32_t>& prompt,
+                              const GenParams& params);
 
 }  // namespace apollo::serve

@@ -70,7 +70,14 @@ int retry_after_s(int queue_depth) {
   return static_cast<int>(s);
 }
 
+// Largest integer a JSON number holds exactly: the parser reads numbers as
+// doubles, so integer fields stay within ±(2^53 − 1). Past it, rounding
+// silently changes the value (2^53 + 1 reads as 2^53), and an INT64_MAX
+// bound rounds up to 2^63, which then overflows the int64 cast.
+constexpr int64_t kMaxJsonInt = (int64_t{1} << 53) - 1;
+
 // Reads an integral field in [lo, hi]; absent fields keep *out untouched.
+// Both bounds must lie within ±kMaxJsonInt so the comparison is exact.
 bool read_int(const std::map<std::string, JsonValue>& body, const char* key,
               int64_t lo, int64_t hi, int64_t* out, std::string* err) {
   const auto it = body.find(key);
@@ -230,9 +237,9 @@ void ServeEngine::handle_generate(const HttpRequest& req) {
   int64_t deadline_rel = 0;
   if (!read_int(body, "max_tokens", 1, 4096, &max_tokens, &err) ||
       !read_int(body, "top_k", 0, vocab, &top_k, &err) ||
-      !read_int(body, "seed", 0, INT64_MAX, &seed, &err) ||
+      !read_int(body, "seed", 0, kMaxJsonInt, &seed, &err) ||
       !read_int(body, "stop_token", -1, vocab - 1, &stop_token, &err) ||
-      !read_int(body, "deadline_ms", 0, INT64_MAX, &deadline_rel, &err)) {
+      !read_int(body, "deadline_ms", 0, kMaxJsonInt, &deadline_rel, &err)) {
     http_.respond(req.conn, 400, "application/json", error_body(err));
     return;
   }

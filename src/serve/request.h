@@ -14,9 +14,10 @@
 
 namespace apollo::serve {
 
-// Per-request sampling controls, mirroring nn::SamplerConfig plus the
-// serving-only generation cap. temperature == 0 means greedy argmax, which
-// is also the deterministic mode the equivalence tests use.
+// Per-request sampling controls plus the generation cap — the one sampling
+// parameter struct, for the server and serve::generate alike.
+// temperature == 0 means greedy argmax, which is also the deterministic
+// mode the equivalence tests use.
 struct GenParams {
   int max_tokens = 16;      // generation cap (finish_reason "length")
   float temperature = 0.f;  // 0 ⇒ greedy argmax

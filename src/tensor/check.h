@@ -64,11 +64,13 @@ template <class M>
   } while (0)
 
 // Binary comparisons that print both values on failure. Operands are
-// evaluated exactly once.
+// evaluated exactly once and bound by value: every call site compares
+// scalars, and gcc with -ftrivial-auto-var-init=pattern falsely reports
+// -Wuninitialized on temporaries bound to const references here.
 #define APOLLO_CHECK_OP_(a, op, b)                                          \
   do {                                                                      \
-    const auto& a_ = (a);                                                   \
-    const auto& b_ = (b);                                                   \
+    const auto a_ = (a);                                                    \
+    const auto b_ = (b);                                                    \
     if (!(a_ op b_))                                                        \
       ::apollo::check_binop_failed(#a, #op, #b, a_, b_, __FILE__, __LINE__); \
   } while (0)
