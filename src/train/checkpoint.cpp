@@ -25,13 +25,6 @@ constexpr char kEndMagic[4] = {'O', 'L', 'P', 'A'};
 constexpr uint32_t kVersion = 3;
 constexpr int kSaveAttempts = 3;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
 struct FreeDeleter {
   void operator()(void* p) const { std::free(p); }
 };
@@ -40,28 +33,6 @@ CheckpointResult fail(const std::string& msg) {
   CheckpointResult r;
   r.error = msg;
   return r;
-}
-
-// CrcWriter / CrcReader (the CRC-32-sectioned stream helpers this file
-// historically owned) live in train/ckpt_io.h so the per-rank shard writer
-// in resilience.cpp shares the exact on-disk section framing.
-
-// Serializes the optimizer state into memory so the section can be
-// length-prefixed and checksummed. Returns false when the optimizer does
-// not support serialization (the caller then writes a weights-only file).
-bool capture_optimizer_blob(const optim::Optimizer& opt,
-                            const nn::ParamList& params,
-                            std::vector<char>* out) {
-  char* buf = nullptr;
-  size_t len = 0;
-  std::FILE* mf = open_memstream(&buf, &len);
-  if (mf == nullptr) return false;
-  const bool supported = opt.save_state(mf, params);
-  std::fclose(mf);
-  std::unique_ptr<char, FreeDeleter> owned(buf);
-  if (!supported) return false;
-  out->assign(owned.get(), owned.get() + len);
-  return true;
 }
 
 // Writes the full v3 payload into an already-open temp file. `step` is
@@ -192,58 +163,88 @@ void apply_post_commit_faults(const std::string& path, int64_t step,
 
 }  // namespace
 
-CheckpointResult save_checkpoint(const std::string& path,
-                                 nn::LlamaModel& model, int64_t step,
-                                 const optim::Optimizer* opt) {
-  APOLLO_TRACE_SCOPE("save_checkpoint", "io");
+bool capture_optimizer_blob(const optim::Optimizer& opt,
+                            const nn::ParamList& params,
+                            std::vector<char>* out) {
+  char* buf = nullptr;
+  size_t len = 0;
+  std::FILE* mf = open_memstream(&buf, &len);
+  if (mf == nullptr) return false;
+  const bool supported = opt.save_state(mf, params);
+  std::fclose(mf);
+  std::unique_ptr<char, FreeDeleter> owned(buf);
+  if (!supported) return false;
+  out->assign(owned.get(), owned.get() + len);
+  return true;
+}
+
+bool restore_optimizer_blob(optim::Optimizer& opt, std::vector<char>& blob,
+                            const nn::ParamList& params, bool merge) {
+  // An in-memory stream, so a short blob surfaces as a load failure, not a
+  // file error.
+  std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
+  if (mf == nullptr) return false;
+  const bool ok =
+      merge ? opt.merge_state(mf, params) : opt.load_state(mf, params);
+  std::fclose(mf);
+  return ok;
+}
+
+std::string commit_atomically(
+    const std::string& path,
+    const std::function<std::string(std::FILE*)>& payload) {
   const std::string tmp = path + ".tmp";
-  CheckpointResult last;
+  std::string last;
   for (int attempt = 0; attempt < kSaveAttempts; ++attempt) {
     if (attempt > 0) backoff_sleep(attempt - 1);
     FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (!f) {
-      last = fail("cannot open for writing: " + tmp);
+      last = "cannot open for writing: " + tmp;
       continue;
     }
-    long opt_section_off = 0;
-    CheckpointResult r =
-        write_payload(f.get(), tmp, model, step, opt, &opt_section_off);
-    if (!r.ok) {
-      f.reset();
-      std::remove(tmp.c_str());
-      last = std::move(r);
-      continue;
-    }
+    std::string err = payload(f.get());
     // Durability: flush user-space buffers, then the kernel's, then commit
     // via rename, then make the rename itself durable.
-    if (std::fflush(f.get()) != 0 || ::fsync(::fileno(f.get())) != 0) {
-      f.reset();
-      std::remove(tmp.c_str());
-      last = fail("fsync failed: " + tmp);
-      continue;
-    }
+    if (err.empty() &&
+        (std::fflush(f.get()) != 0 || ::fsync(::fileno(f.get())) != 0))
+      err = "fsync failed: " + tmp;
     f.reset();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      last = fail("rename failed: " + tmp + " -> " + path);
-      continue;
+    if (err.empty() && std::rename(tmp.c_str(), path.c_str()) != 0)
+      err = "rename failed: " + tmp + " -> " + path;
+    if (err.empty()) {
+      fsync_parent_dir(path);
+      return err;
     }
-    fsync_parent_dir(path);
-    apply_post_commit_faults(path, step, opt_section_off);
-    return r;
+    std::remove(tmp.c_str());
+    last = std::move(err);
   }
-  last.error += " (after " + std::to_string(kSaveAttempts) + " attempts)";
-  return last;
+  return last + " (after " + std::to_string(kSaveAttempts) + " attempts)";
+}
+
+CheckpointResult save_checkpoint(const std::string& path,
+                                 nn::LlamaModel& model, int64_t step,
+                                 const optim::Optimizer* opt) {
+  APOLLO_TRACE_SCOPE("save_checkpoint", "io");
+  CheckpointResult r;
+  long opt_section_off = 0;
+  const std::string err = commit_atomically(path, [&](std::FILE* f) {
+    r = write_payload(f, path + ".tmp", model, step, opt, &opt_section_off);
+    return r.error;
+  });
+  if (!err.empty()) return fail(err);
+  apply_post_commit_faults(path, step, opt_section_off);
+  return r;
 }
 
 namespace {
 
 // Legacy loader for v1 (weights only) and v2 (optimizer tail, no CRCs)
-// files, kept byte-compatible with the original readers.
+// files, kept byte-compatible with the original readers. A v2 tail has no
+// length prefix: its blob is the rest of the file.
 CheckpointResult load_legacy(std::FILE* f, const std::string& path,
                              uint32_t version, int64_t step,
                              const nn::ParamList& params,
-                             optim::Optimizer* opt) {
+                             OptimizerSection* section) {
   for (nn::Parameter* p : params) {
     uint32_t name_len = 0;
     if (!read_pod(f, name_len) || name_len > 4096)
@@ -269,23 +270,19 @@ CheckpointResult load_legacy(std::FILE* f, const std::string& path,
   if (version < 2) return r;  // v1: weights only
 
   uint8_t has_opt = 0;
-  if (!read_pod(f, has_opt)) return r;  // tolerate missing tail
-  if (has_opt == 0 || opt == nullptr) return r;
-  std::string opt_name;
-  if (!read_string(f, opt_name))
+  if (!read_pod(f, has_opt) || has_opt == 0) return r;  // tolerate no tail
+  if (!read_string(f, section->name))
     return fail("corrupt optimizer section: " + path);
-  if (opt_name != opt->name()) {
-    // Different optimizer: weights are loaded, state is skipped.
-    return r;
-  }
-  if (!opt->load_state(f, params))
-    return fail("failed to restore optimizer state (" + opt_name + ")");
-  r.optimizer_state_restored = true;
+  char buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    section->blob.insert(section->blob.end(), buf, buf + n);
+  section->present = true;
   return r;
 }
 
 CheckpointResult load_v3(std::FILE* f, const std::string& path,
-                         const nn::ParamList& params, optim::Optimizer* opt) {
+                         long file_size, const nn::ParamList& params,
+                         OptimizerSection* section) {
   CrcReader rd(f);
   for (nn::Parameter* p : params) {
     uint32_t name_len = 0;
@@ -315,20 +312,21 @@ CheckpointResult load_v3(std::FILE* f, const std::string& path,
   uint8_t has_opt = 0;
   if (!rd.read_pod(has_opt))
     return fail("truncated optimizer section: " + path);
-  std::string opt_name;
-  std::vector<char> blob;
   if (has_opt != 0) {
     uint32_t name_len = 0;
     if (!rd.read_pod(name_len) || name_len > 4096)
       return fail("truncated optimizer section: " + path);
-    opt_name.assign(name_len, '\0');
+    section->name.assign(name_len, '\0');
     uint64_t blob_len = 0;
-    if (!rd.read(opt_name.data(), name_len) || !rd.read_pod(blob_len))
+    if (!rd.read(section->name.data(), name_len) || !rd.read_pod(blob_len))
       return fail("truncated optimizer section: " + path);
-    if (blob_len > (uint64_t{1} << 33))
+    // A length past the end of the file is corrupt, not a reason to
+    // allocate it.
+    if (blob_len > (uint64_t{1} << 33) ||
+        blob_len > static_cast<uint64_t>(file_size - std::ftell(f)))
       return fail("corrupt optimizer blob length: " + path);
-    blob.resize(blob_len);
-    if (!rd.read(blob.data(), blob.size()))
+    section->blob.resize(blob_len);
+    if (!rd.read(section->blob.data(), section->blob.size()))
       return fail("truncated optimizer section: " + path);
   }
   if (!rd.check_crc())
@@ -338,36 +336,26 @@ CheckpointResult load_v3(std::FILE* f, const std::string& path,
   if (std::fread(end_magic, 1, 4, f) != 4 ||
       std::memcmp(end_magic, kEndMagic, 4) != 0)
     return fail("missing end marker (truncated tail): " + path);
-
+  section->present = has_opt != 0;
   r.ok = true;
-  if (has_opt != 0 && opt != nullptr && opt_name == opt->name()) {
-    // The blob is already CRC-verified; hand the optimizer an in-memory
-    // stream so a short blob surfaces as a load failure, not a file error.
-    std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
-    if (mf == nullptr) return fail("cannot open optimizer blob: " + path);
-    const bool loaded = opt->load_state(mf, params);
-    std::fclose(mf);
-    if (!loaded)
-      return fail("failed to restore optimizer state (" + opt_name + ")");
-    r.optimizer_state_restored = true;
-  }
   return r;
 }
 
 }  // namespace
 
-CheckpointResult load_checkpoint(const std::string& path,
+CheckpointResult read_checkpoint(const std::string& path,
                                  nn::LlamaModel& model,
-                                 optim::Optimizer* opt) {
+                                 OptimizerSection* section) {
   APOLLO_TRACE_SCOPE("load_checkpoint", "io");
+  *section = OptimizerSection();
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return fail("cannot open for reading: " + path);
 
   // A zero-byte file is what a crashed non-atomic writer leaves behind the
   // moment after open(O_TRUNC); report it distinctly from garbage content.
   std::fseek(f.get(), 0, SEEK_END);
-  if (std::ftell(f.get()) == 0)
-    return fail("empty checkpoint file: " + path);
+  const long file_size = std::ftell(f.get());
+  if (file_size == 0) return fail("empty checkpoint file: " + path);
   std::fseek(f.get(), 0, SEEK_SET);
 
   char magic[4];
@@ -408,11 +396,27 @@ CheckpointResult load_checkpoint(const std::string& path,
                 std::to_string(count) + ", model has " +
                 std::to_string(params.size()));
 
-  CheckpointResult r = version == kVersion
-                           ? load_v3(f.get(), path, params, opt)
-                           : load_legacy(f.get(), path, version, step,
-                                         params, opt);
+  CheckpointResult r =
+      version == kVersion
+          ? load_v3(f.get(), path, file_size, params, section)
+          : load_legacy(f.get(), path, version, step, params, section);
   if (r.ok) r.step = step;
+  return r;
+}
+
+CheckpointResult load_checkpoint(const std::string& path,
+                                 nn::LlamaModel& model,
+                                 optim::Optimizer* opt) {
+  OptimizerSection section;
+  CheckpointResult r = read_checkpoint(path, model, &section);
+  // A different optimizer's state is skipped: the weights still load.
+  if (!r.ok || opt == nullptr || !section.present ||
+      section.name != opt->name())
+    return r;
+  if (!restore_optimizer_blob(*opt, section.blob, model.parameters(),
+                              /*merge=*/false))
+    return fail("failed to restore optimizer state (" + section.name + ")");
+  r.optimizer_state_restored = true;
   return r;
 }
 

@@ -1,19 +1,37 @@
-// CRC-32-sectioned stream helpers shared by the checkpoint writer
+// Checkpoint I/O shared by the weights file writer/reader
 // (train/checkpoint.cpp) and the per-rank optimizer shard files
-// (train/resilience.cpp). A "section" is a run of bytes followed by the
-// CRC-32 of exactly those bytes; the CRC bytes themselves belong to no
-// section. Writers short-circuit after the first failure so call sites can
-// batch writes and check `ok()` once; readers report a mismatch (or a
-// truncation inside the CRC itself) from check_crc().
+// (train/resilience.cpp): the CRC-32-sectioned stream helpers, the one
+// atomic commit, and the raw optimizer-section handoff.
+//
+// A "section" is a run of bytes followed by the CRC-32 of exactly those
+// bytes; the CRC bytes themselves belong to no section. Writers
+// short-circuit after the first failure so call sites can batch writes and
+// check `ok()` once; readers report a mismatch (or a truncation inside the
+// CRC itself) from check_crc().
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "fault/crc32.h"
+#include "nn/llama.h"
+#include "nn/parameter.h"
+#include "optim/optimizer.h"
+#include "train/checkpoint.h"
 
 namespace apollo::train {
+
+struct FileCloser {
+  void operator()(std::FILE* f) const {
+    if (f != nullptr) std::fclose(f);
+  }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 // Streams bytes to a FILE* while accumulating a CRC-32 over everything
 // written since the last emit_crc().
@@ -96,5 +114,41 @@ class CrcReader {
   uint32_t crc_ = fault::kCrc32Init;
   bool ok_ = true;
 };
+
+// The one atomic commit: `payload` streams the whole file into
+// `path + ".tmp"`, which is then fflush'd and fsync'd, renamed over `path`,
+// and the rename made durable by fsyncing the parent directory. A failed
+// attempt removes its temp file and is retried with bounded backoff, so a
+// crash at any point leaves either the old file or the new one, never a
+// torn one. `payload` returns an empty string on success, else the error.
+// Returns "" on success, else the last error (with the attempt count).
+std::string commit_atomically(
+    const std::string& path,
+    const std::function<std::string(std::FILE*)>& payload);
+
+// Serializes the optimizer state into memory so it can be length-prefixed
+// and checksummed. False when the optimizer does not support serialization.
+bool capture_optimizer_blob(const optim::Optimizer& opt,
+                            const nn::ParamList& params,
+                            std::vector<char>* out);
+
+// Hands one CRC-verified optimizer blob to `opt`: load_state when `merge`
+// is false (the whole state, replacing what is there), else merge_state
+// (one shard, merged under `opt`'s current shard layout).
+bool restore_optimizer_blob(optim::Optimizer& opt, std::vector<char>& blob,
+                            const nn::ParamList& params, bool merge);
+
+// A weights file's optimizer section, read and validated but not applied.
+struct OptimizerSection {
+  bool present = false;
+  std::string name;
+  std::vector<char> blob;
+};
+
+// Loads the weights of a v1/v2/v3 checkpoint into `model` and hands back its
+// optimizer section untouched. load_checkpoint is this plus load_state.
+CheckpointResult read_checkpoint(const std::string& path,
+                                 nn::LlamaModel& model,
+                                 OptimizerSection* section);
 
 }  // namespace apollo::train

@@ -1,6 +1,7 @@
-// Resilience subsystem: rotating crash-consistent checkpoints, newest-first
-// auto-resume that skips corrupt files, and the divergence watchdog that
-// turns a NaN/Inf/spiking step into a rollback instead of a dead run.
+// Resilience subsystem: rotating crash-consistent checkpoint sets, one
+// newest-first auto-resume that skips corrupt sets at any ZeRO-1 width, and
+// the divergence watchdog that turns a NaN/Inf/spiking step into a
+// rollback instead of a dead run.
 //
 // Recovery state machine (docs/RESILIENCE.md has the full picture):
 //
@@ -104,11 +105,32 @@ class LrBackoff {
   int good_streak_ = 0;
 };
 
-// --- rotating checkpoints + auto-resume ------------------------------------
+// --- the checkpoint set -----------------------------------------------------
+//
+// A checkpoint at step S is a set of files in one directory:
+//   ckpt_S.aplo                 the weights (v3 format, train/checkpoint.h)
+//   ckpt_S.shard<r>of<W>.aplo   rank r's optimizer-state shard, r = 0..W-1
+// An unsharded optimizer (a single process, or W = 1) writes the whole set
+// as one file: the weights file carries the optimizer section and there are
+// no shards. A ZeRO-1 optimizer (Optimizer::shard_world() > 1) writes a
+// weights-only file from rank 0 and one shard per rank. Every file goes
+// through the same atomic temp + fsync + rename commit and the same CRC-32
+// section framing (train/ckpt_io.h).
+//
+// Resume reads a set the same way at every width: the step's optimizer
+// state is the weights file's own optimizer section if it has one, else
+// the step's complete shard set. One whole-state blob loads into an
+// unsharded optimizer through load_state; everything else merges in rank
+// order through merge_state under the resuming optimizer's shard layout,
+// which redistributes ownership. So a set saved at any width resumes at any
+// width, with its exact state.
 
-// Writes `ckpt_<step>.aplo` files into a directory through the atomic
-// checkpoint path and prunes all but the newest `keep`. Stale `*.tmp`
-// leftovers from crashed saves are removed on construction.
+// Writes checkpoint sets into a directory and prunes all but the newest
+// `keep`. The file layout comes from `opt`'s shard configuration. Each
+// writer prunes only its own files: a single process owns them all; under
+// ZeRO-1 every rank owns its own shards, and rank 0 the weights files and
+// the shards of ranks a shrink restart removed. Stale `*.tmp` leftovers
+// from crashed saves are removed on construction.
 class CheckpointRotator {
  public:
   CheckpointRotator(std::string dir, int keep);
@@ -117,7 +139,7 @@ class CheckpointRotator {
                         const optim::Optimizer* opt);
 
   static std::string path_for(const std::string& dir, int64_t step);
-  // Steps with an on-disk checkpoint file, ascending.
+  // Steps with an on-disk weights file, ascending.
   static std::vector<int64_t> list_steps(const std::string& dir);
 
   const std::string& dir() const { return dir_; }
@@ -126,6 +148,13 @@ class CheckpointRotator {
   std::string dir_;
   int keep_;
 };
+
+// World size of the complete shard set stored for `step`: the largest W
+// such that all of shard0..shard(W-1) exist. 0 when none is complete.
+// (After a shrink restart a step can briefly have sets at two widths; both
+// encode the same trajectory, so preferring the larger is safe and
+// deterministic.)
+int shard_world_at(const std::string& dir, int64_t step);
 
 struct ResumeResult {
   bool resumed = false;
@@ -136,74 +165,18 @@ struct ResumeResult {
   std::string error;  // set when checkpoints existed but none loaded
 };
 
-// Scans `dir` newest-to-oldest and loads the first checkpoint that passes
-// all CRC/shape validation, skipping corrupt ones with a readable reason
-// (each skip increments the `ckpt.corrupt_skipped` registry counter).
-// An empty or missing directory resumes nothing and is not an error.
+// Scans `dir` newest-to-oldest and resumes from the first checkpoint set
+// that passes all CRC/shape validation, skipping the rest with a readable
+// reason (each skip increments the `ckpt.corrupt_skipped` counter). Skipped:
+// an unreadable weights file, a corrupt or torn shard set (shard files
+// without a complete set), and, for a sharded optimizer, a weights-only file
+// with no shards. An unsharded optimizer resumes such a file weights-only.
+// Optimizer state that is CRC-valid but fails to restore ends the scan with
+// an error. An empty or missing directory resumes nothing and is not an
+// error. Every ZeRO-1 rank scans the same files and reaches the same
+// verdict without communicating.
 ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
                          optim::Optimizer* opt);
-
-// --- DDP shard checkpoints (src/dist) --------------------------------------
-//
-// A DDP checkpoint at step S is a *set* of files in the same directory:
-//   ckpt_S.aplo                 weights only, written by rank 0 (v3 format)
-//   ckpt_S.shard<r>of<W>.aplo   rank r's optimizer-state shard, one per rank
-// Shard files use the same atomic temp+fsync+rename protocol and CRC-32
-// section framing as checkpoint v3 (train/ckpt_io.h). A set is loadable
-// only when the weights file and a complete, mutually consistent shard set
-// 0..W-1 all validate — torn sets (a crash mid-rotation) are skipped, and
-// every rank reaches the same verdict without communicating because all
-// ranks scan the same files.
-
-std::string shard_path_for(const std::string& dir, int64_t step, int rank,
-                           int world);
-
-// Atomically writes one rank's optimizer shard. The optimizer must be
-// serializable (save_state true) — DDP training requires it.
-bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
-                      const nn::ParamList& params, int64_t step, int rank,
-                      int world, std::string* err);
-
-// Validates one shard file end-to-end (magic, CRCs, step/rank match) and
-// hands back the raw optimizer blob + the world size it was saved under.
-bool read_state_shard(const std::string& path, int64_t expect_step,
-                      int expect_rank, int* world_out, std::string* opt_name,
-                      std::vector<char>* blob, std::string* err);
-
-// World size of the complete shard set stored for `step`: the largest W
-// such that all of shard0..shard(W-1) exist. 0 when none is complete.
-// (After a shrink restart a step can briefly have sets at two widths; both
-// encode the same trajectory — merge_state redistributes ownership — so
-// preferring the larger is safe and deterministic.)
-int shard_world_at(const std::string& dir, int64_t step);
-
-// Rotating writer for DDP runs: rank 0 writes the weights file, every rank
-// writes its own shard, and every rank prunes only its own artifacts.
-class DdpCheckpointRotator {
- public:
-  DdpCheckpointRotator(std::string dir, int keep, int rank, int world);
-
-  bool save(nn::LlamaModel& model, int64_t step, const optim::Optimizer& opt,
-            std::string* err);
-
-  const std::string& dir() const { return dir_; }
-
- private:
-  std::string dir_;
-  int keep_;
-  int rank_;
-  int world_;
-};
-
-// DDP auto-resume: scans newest-to-oldest over the weights steps, requires
-// a fully CRC-valid shard set (validated in memory *before* any state is
-// merged, so a bad set never leaves the optimizer half-merged), loads the
-// weights, then merges every shard in rank order through
-// Optimizer::merge_state under the optimizer's current shard configuration
-// — which redistributes ownership when the world width changed. Every rank
-// performs the identical scan and reaches the identical verdict.
-ResumeResult auto_resume_ddp(const std::string& dir, nn::LlamaModel& model,
-                             optim::Optimizer* opt);
 
 // --- trainer-facing configuration ------------------------------------------
 

@@ -72,32 +72,11 @@ TrainResult Trainer::run() {
   }
   opt_.set_shard(rank, world);
 
+  // The rotator and the resume read the checkpoint layout from the
+  // optimizer's shard configuration, so they must follow set_shard.
   std::unique_ptr<CheckpointRotator> rotator;
-  std::unique_ptr<DdpCheckpointRotator> ddp_rotator;
   int start_step = 0;
-  if (rotating && comm_ != nullptr) {
-    ddp_rotator = std::make_unique<DdpCheckpointRotator>(
-        rc.ckpt_dir, rc.ckpt_keep, rank, world);
-    if (rc.auto_resume) {
-      ResumeResult rr = auto_resume_ddp(rc.ckpt_dir, model_, &opt_);
-      res.corrupt_checkpoints_skipped = static_cast<int>(rr.skipped.size());
-      for (const std::string& s : rr.skipped)
-        std::fprintf(stderr, "[resume] skipped corrupt checkpoint %s\n",
-                     s.c_str());
-      if (rr.resumed) {
-        start_step = static_cast<int>(rr.step);
-        res.resumed_from_step = rr.step;
-        std::fprintf(stderr, "[resume] rank %d continuing from step %lld%s\n",
-                     rank, static_cast<long long>(rr.step),
-                     rr.optimizer_state_restored ? " with optimizer state"
-                                                 : " (weights only)");
-      } else if (!rr.error.empty()) {
-        res.diverged = true;
-        res.divergence_diagnostics = "auto-resume failed: " + rr.error;
-        return res;
-      }
-    }
-  } else if (rotating) {
+  if (rotating) {
     rotator = std::make_unique<CheckpointRotator>(rc.ckpt_dir, rc.ckpt_keep);
     if (rc.auto_resume) {
       ResumeResult rr = auto_resume(rc.ckpt_dir, model_, &opt_);
@@ -112,8 +91,8 @@ TrainResult Trainer::run() {
         // store so the streaming per-slot requantization resumes from the
         // restored trajectory instead of the construction-time codes.
         if (qstore_ != nullptr) qstore_->requantize_from_params();
-        std::fprintf(stderr, "[resume] continuing from step %lld%s\n",
-                     static_cast<long long>(rr.step),
+        std::fprintf(stderr, "[resume] rank %d continuing from step %lld%s\n",
+                     rank, static_cast<long long>(rr.step),
                      rr.optimizer_state_restored ? " with optimizer state"
                                                  : " (weights only)");
       } else if (!rr.error.empty()) {
@@ -429,24 +408,13 @@ TrainResult Trainer::run() {
     }
 
     if (rotating && (step + 1) % std::max(1, rc.ckpt_every) == 0) {
-      if (ddp_rotator != nullptr) {
-        std::string err;
-        if (ddp_rotator->save(model_, step + 1, opt_, &err)) {
-          last_ckpt_step = step + 1;
-          ++res.checkpoints_saved;
-        } else {
-          std::fprintf(stderr, "[ckpt] rank %d save failed at step %d: %s\n",
-                       rank, step + 1, err.c_str());
-        }
+      const CheckpointResult saved = rotator->save(model_, step + 1, &opt_);
+      if (saved.ok) {
+        last_ckpt_step = step + 1;
+        ++res.checkpoints_saved;
       } else {
-        const CheckpointResult saved = rotator->save(model_, step + 1, &opt_);
-        if (saved.ok) {
-          last_ckpt_step = step + 1;
-          ++res.checkpoints_saved;
-        } else {
-          std::fprintf(stderr, "[ckpt] save failed at step %d: %s\n",
-                       step + 1, saved.error.c_str());
-        }
+        std::fprintf(stderr, "[ckpt] rank %d save failed at step %d: %s\n",
+                     rank, step + 1, saved.error.c_str());
       }
     }
 

@@ -2,8 +2,10 @@
 // supervisor's collectives and restart machinery, ZeRO-1 sharded-update
 // equivalence, shard-checkpoint round-trips across width changes, and the
 // end-to-end contracts — a 4-rank world must reproduce the single-process
-// `--grad-accum 4` loss/grad-norm streams bit for bit, and a world that
-// loses a rank (crash or hang) must auto-recover onto the same trajectory.
+// `--grad-accum 4` loss/grad-norm streams bit for bit, a world that loses a
+// rank (crash or hang) must auto-recover onto the same trajectory, and a
+// checkpoint directory resumes exactly across a width change in either
+// direction.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -380,16 +382,17 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
     opt.step(params);
   }
 
-  std::string err;
   for (int r = 0; r < 2; ++r) {
-    train::DdpCheckpointRotator rot(dir2, 2, r, 2);
+    train::CheckpointRotator rot(dir2, 2);
     opt.set_shard(r, 2);
-    ASSERT_TRUE(rot.save(model, 7, opt, &err)) << err;
+    const train::CheckpointResult saved = rot.save(model, 7, &opt);
+    ASSERT_TRUE(saved.ok) << saved.error;
   }
   for (int r = 0; r < 4; ++r) {
-    train::DdpCheckpointRotator rot(dir4, 2, r, 4);
+    train::CheckpointRotator rot(dir4, 2);
     opt.set_shard(r, 4);
-    ASSERT_TRUE(rot.save(model, 7, opt, &err)) << err;
+    const train::CheckpointResult saved = rot.save(model, 7, &opt);
+    ASSERT_TRUE(saved.ok) << saved.error;
   }
   opt.set_shard(0, 1);
   EXPECT_EQ(train::shard_world_at(dir2, 7), 2);
@@ -399,7 +402,7 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
   nn::LlamaModel m1(cfg, 9);
   core::Apollo o1(acfg);
   o1.set_lr(1e-2f);
-  const auto r1 = train::auto_resume_ddp(dir2, m1, &o1);
+  const auto r1 = train::auto_resume(dir2, m1, &o1);
   ASSERT_TRUE(r1.resumed) << r1.error;
   EXPECT_EQ(r1.step, 7);
   EXPECT_TRUE(r1.optimizer_state_restored);
@@ -415,8 +418,8 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
   o2b.set_lr(1e-2f);
   o2a.set_shard(0, 2);
   o2b.set_shard(1, 2);
-  ASSERT_TRUE(train::auto_resume_ddp(dir4, m2a, &o2a).resumed);
-  ASSERT_TRUE(train::auto_resume_ddp(dir4, m2b, &o2b).resumed);
+  ASSERT_TRUE(train::auto_resume(dir4, m2a, &o2a).resumed);
+  ASSERT_TRUE(train::auto_resume(dir4, m2b, &o2b).resumed);
   nn::ParamList p2a = m2a.parameters();
   nn::ParamList p2b = m2b.parameters();
 
@@ -601,6 +604,58 @@ TEST(DistE2E, KillRankRecoversOntoSameTrajectory) {
   ASSERT_GT(clean, 1.0);
   EXPECT_DOUBLE_EQ(recovered, clean);
   std::filesystem::remove_all(dir);
+}
+
+// Cross-width drills: a checkpoint directory written at one width is
+// resumed at the other. A run crashes (APOLLO_FAULTS=crash@25, no restarts
+// left) after its step-20 set, and the relaunch must restore the full
+// optimizer state with nothing skipped and finish on the uninterrupted
+// `--grad-accum 2` run's final eval row and post-resume loss stream.
+void cross_width_drill(const std::string& name, const std::string& crashed,
+                       const std::string& relaunched) {
+  const std::string dir = std::string(::testing::TempDir()) + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bin = APOLLO_TRAIN_BIN;
+  const std::string cd = "cd " + dir + " && ";
+  const std::string args = std::string(kShape) + " --steps 30";
+  const std::string ckpt = " --ckpt-dir ckpts --ckpt-every 10";
+
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=clean.jsonl " + bin + args +
+                    " --grad-accum 2 --csv clean.csv > clean.log 2>&1"),
+            0);
+  EXPECT_NE(run_cmd(cd + "APOLLO_FAULTS=crash@25 " + bin + args + ckpt +
+                    crashed + " > crash.log 2>&1"),
+            0);
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=rel.jsonl " + bin + args + ckpt +
+                    relaunched + " --csv rel.csv > rel.log 2>&1"),
+            0);
+
+  const std::string log = file_contents(dir + "/rel.log");
+  EXPECT_NE(log.find("continuing from step 20 with optimizer state"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("corrupt checkpoints skipped: 0"), std::string::npos)
+      << log;
+  EXPECT_EQ(file_contents(dir + "/rel.csv"), file_contents(dir + "/clean.csv"));
+  // Steps 21..30 of the relaunch are the last ten steps of the clean run.
+  const std::string rel_metrics =
+      relaunched.find("--ranks") != std::string::npos ? "/rel.jsonl.rank0"
+                                                      : "/rel.jsonl";
+  const std::string clean_loss = metric_stream(dir + "/clean.jsonl", "loss");
+  const std::string rel_loss = metric_stream(dir + rel_metrics, "loss");
+  ASSERT_LT(rel_loss.size(), clean_loss.size());
+  EXPECT_EQ(clean_loss.substr(clean_loss.size() - rel_loss.size()), rel_loss);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DistE2E, TwoRankCheckpointsResumeSingleProcess) {
+  cross_width_drill("dist_w2_to_w1", " --ranks 2 --max-restarts 0",
+                    " --grad-accum 2");
+}
+
+TEST(DistE2E, SingleProcessCheckpointsResumeAtTwoRanks) {
+  cross_width_drill("dist_w1_to_w2", " --grad-accum 2", " --ranks 2");
 }
 
 // Hang drill: a rank that stops making progress (alive, heartbeat stalled)

@@ -232,7 +232,7 @@ int run_training(const tools::Args& args, dist::Communicator* comm) {
   if (result.resumed_from_step > 0)
     std::printf("resumed from step %lld\n",
                 static_cast<long long>(result.resumed_from_step));
-  if (result.corrupt_checkpoints_skipped > 0)
+  if (result.resumed_from_step > 0 || result.corrupt_checkpoints_skipped > 0)
     std::printf("corrupt checkpoints skipped: %d\n",
                 result.corrupt_checkpoints_skipped);
   if (result.rollbacks > 0)
